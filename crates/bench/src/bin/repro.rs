@@ -1188,7 +1188,7 @@ fn online_bench() {
         })
         .collect();
     let baseline: Vec<f64> =
-        shapes.iter().map(|&s| bundle.decide_op_capped(s, 1).predicted_runtime_s).collect();
+        shapes.iter().map(|&s| bundle.decide(s, 1).best.predicted_runtime_s).collect();
 
     let run_phase = |tag: u64, severity: f64| -> OnlinePhaseError {
         let mut abs_sum = 0.0;

@@ -9,11 +9,11 @@
 //! memoisation in [`crate::cache::DecisionCache`], execution and
 //! diagnostics in [`crate::service::AdsalaService`].
 //!
-//! Decisions are routine- and precision-generic: [`ArtifactBundle::decide_op`]
-//! takes an [`OpShape`] (routine, precision, dimensions), picks the
-//! routine's model (GEMM fallback), maps the dimensions into the §III-A
-//! GEMM feature space, and sweeps the grid. The legacy
-//! [`ArtifactBundle::decide`] is the f32-GEMM special case. A bundle
+//! Decisions are routine- and precision-generic: [`ArtifactBundle::decide`]
+//! takes an [`OpShape`] (routine, precision, dimensions) and a thread
+//! cap, picks the routine's model (GEMM fallback), maps the dimensions
+//! into the §III-A GEMM feature space, and sweeps the grid once,
+//! returning the argmin and the per-thread-count curve. A bundle
 //! built from a threads-only grid (every migrated v1/v2 artefact) decides
 //! bit-identically to the pre-plan thread ladder and emits threads-only
 //! plans.
@@ -26,15 +26,13 @@ use std::path::Path;
 use std::sync::Arc;
 
 use adsala_gemm::plan::{ExecutionPlan, PlanGrid, PlanPoint};
-use adsala_gemm::{OpShape, Precision, Routine};
-use adsala_ml::AnyModel;
+use adsala_gemm::{OpShape, Routine};
+use adsala_ml::{AnyModel, Regressor};
 use serde::{Deserialize, Serialize};
 
 use crate::artifact::{Artifact, ModelTable};
 use crate::preprocess::PreprocessConfig;
-use crate::select::{
-    predict_at_point, predict_curve_for_op, predict_plan_for_op, predict_plan_for_op_capped,
-};
+use crate::select::{point_features, sweep, Sweep};
 use crate::AdsalaError;
 
 /// The outcome of a plan selection: the full learned execution plan plus
@@ -54,6 +52,19 @@ impl PlanDecision {
     pub fn threads(&self) -> u32 {
         self.plan.threads
     }
+}
+
+/// One sweep's outcome: the argmin decision plus the predicted-runtime
+/// curve behind it. Cloning shares the curve, so a memo hit copies no
+/// rows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Decision {
+    /// The runtime-minimising plan and its prediction.
+    pub best: PlanDecision,
+    /// For each distinct thread count ≤ the cap, the best plan at that
+    /// count and its predicted runtime in seconds, ascending by threads.
+    /// A joint scheduler optimises over these rows.
+    pub curve: Arc<[(ExecutionPlan, f64)]>,
 }
 
 /// The immutable installation artefacts, packaged for shared serving.
@@ -121,45 +132,22 @@ impl ArtifactBundle {
         Arc::new(self)
     }
 
-    /// Run one full model sweep over the candidate grid for any
-    /// operation. Pure: no memo is consulted or updated, so equal inputs
-    /// always produce equal decisions.
-    pub fn decide_op(&self, shape: OpShape) -> PlanDecision {
+    /// Run one model sweep over the candidate grid for any operation
+    /// under a thread cap (`u32::MAX` for none): the model prices every
+    /// candidate with its thread count clamped to `cap`, so both the
+    /// chosen plan and the curve respect the cap. A cap at or above the
+    /// grid maximum decides bit-identically to no cap. Pure: no memo is
+    /// consulted or updated, so equal inputs always produce equal
+    /// decisions.
+    pub fn decide(&self, shape: OpShape, cap: u32) -> Decision {
         let model = self.models.for_routine(shape.routine);
-        let (plan, predicted_runtime_s) =
-            predict_plan_for_op(model, &self.config, &self.grid, shape);
-        PlanDecision { plan, predicted_runtime_s, memoised: false }
-    }
-
-    /// The f32-GEMM special case of [`ArtifactBundle::decide_op`], kept
-    /// for the paper-faithful `(m, k, n)` call sites.
-    pub fn decide(&self, m: u64, k: u64, n: u64) -> PlanDecision {
-        self.decide_op(OpShape::gemm(Precision::F32, m, k, n))
-    }
-
-    /// [`ArtifactBundle::decide_op`] under a per-call thread cap: the
-    /// sweep clamps every candidate to `cap` threads *before* the model
-    /// prices it, so both the chosen plan and its predicted runtime
-    /// respect the cap (no decide-then-clamp mismatch). A cap at or above
-    /// the grid maximum decides bit-identically to the uncapped sweep.
-    pub fn decide_op_capped(&self, shape: OpShape, cap: u32) -> PlanDecision {
-        let model = self.models.for_routine(shape.routine);
-        let (plan, predicted_runtime_s) =
-            predict_plan_for_op_capped(model, &self.config, &self.grid, shape, cap);
-        PlanDecision { plan, predicted_runtime_s, memoised: false }
-    }
-
-    /// The predicted-runtime curve a joint scheduler optimises over: for
-    /// each distinct thread count ≤ `cap` in the grid, the best
-    /// materialised plan at that count and its predicted runtime in
-    /// seconds, ascending by thread count. The curve's global minimum is
-    /// the [`ArtifactBundle::decide_op_capped`] decision.
-    pub fn decide_op_curve(&self, shape: OpShape, cap: u32) -> Vec<(ExecutionPlan, f64)> {
-        let model = self.models.for_routine(shape.routine);
-        predict_curve_for_op(model, &self.config, &self.grid, shape, cap)
-            .into_iter()
-            .map(|(point, runtime_s)| (point.materialise(shape.precision), runtime_s))
-            .collect()
+        let Sweep { best: (point, predicted_runtime_s), curve } =
+            sweep(model, &self.config, &self.grid, shape, cap);
+        let materialise = |p: PlanPoint| p.materialise(shape.precision);
+        Decision {
+            best: PlanDecision { plan: materialise(point), predicted_runtime_s, memoised: false },
+            curve: curve.into_iter().map(|(p, s)| (materialise(p), s)).collect(),
+        }
     }
 
     /// The largest candidate thread count in the grid — the widest plan
@@ -188,7 +176,7 @@ impl ArtifactBundle {
         let threads = self.max_candidate_threads().min(cap.max(1));
         let point = PlanPoint::threads_only(threads);
         let model = self.models.for_routine(shape.routine);
-        let pred = predict_at_point(model, &self.config, &self.grid, &shape, &point);
+        let pred = model.predict_row(&point_features(&self.config, &self.grid, &shape, &point));
         PlanDecision {
             plan: point.materialise(shape.precision),
             predicted_runtime_s: self.config.runtime_from_prediction(pred),
@@ -226,7 +214,6 @@ pub fn quick_test_bundle() -> ArtifactBundle {
     use crate::preprocess::fit_preprocess;
     use adsala_machine::{MachineModel, SimTimer};
     use adsala_ml::tune::ModelSpec;
-    use adsala_ml::Regressor;
 
     let timer = SimTimer::new(MachineModel::gadi());
     let config = GatherConfig { n_shapes: 60, reps: 2, ..GatherConfig::quick() };
@@ -241,15 +228,21 @@ pub fn quick_test_bundle() -> ArtifactBundle {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use adsala_gemm::Precision;
 
     pub(crate) use super::quick_test_bundle as quick_bundle;
+
+    fn gemm(m: u64, k: u64, n: u64) -> OpShape {
+        OpShape::gemm(Precision::F32, m, k, n)
+    }
 
     #[test]
     fn decide_is_pure_and_in_ladder() {
         let bundle = quick_bundle();
-        let first = bundle.decide(256, 256, 256);
-        let again = bundle.decide(256, 256, 256);
+        let first = bundle.decide(gemm(256, 256, 256), u32::MAX);
+        let again = bundle.decide(gemm(256, 256, 256), u32::MAX);
         assert_eq!(first, again, "an immutable bundle must be deterministic");
+        let first = first.best;
         assert!(bundle.candidates().contains(&first.threads()));
         assert!(first.plan.is_threads_only(), "a threads-only grid emits threads-only plans");
         assert!(first.predicted_runtime_s > 0.0);
@@ -265,7 +258,7 @@ pub(crate) mod tests {
             OpShape::syrk(Precision::F64, 512, 64),
             OpShape::gemv(Precision::F32, 4096, 512),
         ] {
-            let d = bundle.decide_op(shape);
+            let d = bundle.decide(shape, u32::MAX).best;
             assert!(bundle.candidates().contains(&d.threads()), "{shape:?}");
             assert!(d.predicted_runtime_s > 0.0);
         }
@@ -276,17 +269,15 @@ pub(crate) mod tests {
         // Without dedicated models, a routine's decision equals the GEMM
         // decision at its gemm-equivalent dimensions — bit for bit.
         let bundle = quick_bundle();
-        let syrk = bundle.decide_op(OpShape::syrk(Precision::F32, 300, 40));
-        let gemm = bundle.decide(300, 40, 300);
-        assert_eq!(syrk, gemm);
-        let gemv = bundle.decide_op(OpShape::gemv(Precision::F32, 2000, 500));
-        assert_eq!(gemv, bundle.decide(2000, 500, 1));
+        let syrk = bundle.decide(OpShape::syrk(Precision::F32, 300, 40), u32::MAX);
+        assert_eq!(syrk, bundle.decide(gemm(300, 40, 300), u32::MAX));
+        let gemv = bundle.decide(OpShape::gemv(Precision::F32, 2000, 500), u32::MAX);
+        assert_eq!(gemv, bundle.decide(gemm(2000, 500, 1), u32::MAX));
     }
 
     #[test]
     fn dedicated_routine_model_takes_precedence() {
         use adsala_ml::tune::ModelSpec;
-        use adsala_ml::Regressor;
 
         let base = quick_bundle();
         // A deliberately different model for SYRK: a depth-2 stump fit on
@@ -300,7 +291,7 @@ pub(crate) mod tests {
         let bundle = base.with_routine_model(Routine::Syrk, other);
         assert!(bundle.models.has_dedicated(Routine::Syrk));
         // GEMM decisions are untouched.
-        let d = bundle.decide(256, 256, 256);
+        let d = bundle.decide(gemm(256, 256, 256), u32::MAX).best;
         assert!(bundle.candidates().contains(&d.threads()));
     }
 
@@ -312,12 +303,15 @@ pub(crate) mod tests {
         let back =
             ArtifactBundle::from_artifact(Artifact::from_json(&art.to_json().unwrap()).unwrap());
         for (m, k, n) in [(64, 64, 64), (1000, 500, 1000), (64, 4096, 64)] {
-            assert_eq!(bundle.decide(m, k, n), back.decide(m, k, n));
+            assert_eq!(
+                bundle.decide(gemm(m, k, n), u32::MAX),
+                back.decide(gemm(m, k, n), u32::MAX)
+            );
         }
         for shape in
             [OpShape::syrk(Precision::F64, 400, 80), OpShape::gemv(Precision::F32, 1000, 1000)]
         {
-            assert_eq!(bundle.decide_op(shape), back.decide_op(shape));
+            assert_eq!(bundle.decide(shape, u32::MAX), back.decide(shape, u32::MAX));
         }
     }
 
@@ -331,7 +325,10 @@ pub(crate) mod tests {
         let back = ArtifactBundle::load(&path).unwrap();
         assert_eq!(back.candidates(), bundle.candidates());
         assert_eq!(back.grid, bundle.grid);
-        assert_eq!(back.decide(128, 512, 128), bundle.decide(128, 512, 128));
+        assert_eq!(
+            back.decide(gemm(128, 512, 128), u32::MAX),
+            bundle.decide(gemm(128, 512, 128), u32::MAX)
+        );
         std::fs::remove_file(&path).ok();
     }
 

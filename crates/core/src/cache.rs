@@ -11,9 +11,18 @@
 //!
 //! The capacity bound matters for serving: an adversarial or merely
 //! diverse shape stream must not grow the memo without limit, so a full
-//! shard evicts an arbitrary resident entry before inserting. Evicting is
-//! harmless for correctness — a re-miss just re-runs the model sweep,
-//! which produces the identical decision.
+//! shard is cleared before the new entry goes in. It is cleared rather
+//! than losing one entry because the one entry a hash map hands out
+//! first sits in its lowest bucket: a new key landing there would be the
+//! next victim, again and again, and a recurring working set larger than
+//! the memo would keep missing. Eviction is harmless for correctness — a
+//! re-miss just re-runs the model sweep, which produces the identical
+//! decision.
+//!
+//! An entry is a whole [`Decision`] — the argmin plus its predicted
+//! runtime curve — so the service, the co-scheduler and the
+//! single-threaded facade share one memo. The curve sits behind an
+//! `Arc`: a hit clones a pointer, never the rows.
 //!
 //! Hit/miss/eviction counters are relaxed atomics; `hits + misses` equals
 //! the number of `get` calls exactly, which the concurrency stress test
@@ -39,7 +48,7 @@ use adsala_gemm::OpShape;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
-use crate::bundle::PlanDecision;
+use crate::bundle::{Decision, PlanDecision};
 
 /// The default decision key: routine, precision, and the routine's
 /// logical dimensions. An f32 GEMM and an f64 GEMM of the same dimensions
@@ -56,7 +65,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-    /// Entries displaced by the capacity bound.
+    /// Entries dropped by the capacity bound (every resident entry of a
+    /// full shard counts when the shard is cleared).
     pub evictions: u64,
     /// Decisions currently resident.
     pub entries: u64,
@@ -88,10 +98,10 @@ impl CacheStats {
 
 /// A resident decision tagged with the model generation it was made
 /// under.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct Tagged {
     generation: u64,
-    decision: PlanDecision,
+    decision: Decision,
 }
 
 #[derive(Debug)]
@@ -107,7 +117,7 @@ impl<K> Default for ShardState<K> {
     }
 }
 
-/// A sharded, capacity-bounded, concurrent memo of plan decisions.
+/// A sharded, capacity-bounded, concurrent memo of sweep decisions.
 ///
 /// Generic over the key: the plain [`ShapeKey`] for context-free
 /// decisions, or any `Hash + Eq + Copy` composite (like the service's
@@ -166,16 +176,16 @@ impl<K: Hash + Eq + Copy> DecisionCache<K> {
     /// Look a shape up, counting exactly one hit or one miss. Entries
     /// tagged with a generation older than the current one are dead:
     /// they miss, exactly as if a hot-swap had physically erased them.
-    pub fn get(&self, key: K) -> Option<PlanDecision> {
+    pub fn get(&self, key: K) -> Option<Decision> {
         let generation = self.generation.load(Ordering::Acquire);
         let shard = self.shard_for(key);
         let found = {
             let state = shard.read();
-            let tagged = match state.last {
-                Some((last_key, tagged)) if last_key == key => Some(tagged),
-                _ => state.map.get(&key).copied(),
+            let tagged = match &state.last {
+                Some((last_key, tagged)) if *last_key == key => Some(tagged),
+                _ => state.map.get(&key),
             };
-            tagged.filter(|t| t.generation == generation).map(|t| t.decision)
+            tagged.filter(|t| t.generation == generation).map(|t| t.decision.clone())
         };
         match found {
             Some(decision) => {
@@ -189,12 +199,12 @@ impl<K: Hash + Eq + Copy> DecisionCache<K> {
         }
     }
 
-    /// Insert (or refresh) a decision, evicting an arbitrary resident
-    /// entry if the shard is at capacity. Also refreshes the shard's
+    /// Insert (or refresh) a decision, clearing the shard first if it is
+    /// at capacity. Also refreshes the shard's
     /// last-shape fast path. The entry is tagged with the generation
     /// current at insert time; callers racing a hot-swap use
     /// [`DecisionCache::insert_if_generation`] instead.
-    pub fn insert(&self, key: K, decision: PlanDecision) {
+    pub fn insert(&self, key: K, decision: Decision) {
         self.insert_tagged(key, decision, self.generation.load(Ordering::Acquire));
     }
 
@@ -206,7 +216,7 @@ impl<K: Hash + Eq + Copy> DecisionCache<K> {
     /// linchpin of swap coherence: swap publishes the new bundle first
     /// and bumps the generation second, so any decision tagged with the
     /// pre-swap generation is guaranteed stale-or-equal and safe to drop.
-    pub fn insert_if_generation(&self, key: K, decision: PlanDecision, generation: u64) -> bool {
+    pub fn insert_if_generation(&self, key: K, decision: Decision, generation: u64) -> bool {
         if self.generation.load(Ordering::Acquire) != generation {
             return false;
         }
@@ -216,18 +226,17 @@ impl<K: Hash + Eq + Copy> DecisionCache<K> {
         true
     }
 
-    fn insert_tagged(&self, key: K, decision: PlanDecision, generation: u64) {
-        // The fast path must replay as a memo hit.
-        let stored = Tagged { generation, decision: PlanDecision { memoised: true, ..decision } };
+    fn insert_tagged(&self, key: K, decision: Decision, generation: u64) {
+        // Replays must read as memo hits.
+        let best = PlanDecision { memoised: true, ..decision.best };
+        let stored = Tagged { generation, decision: Decision { best, ..decision } };
         let shard = self.shard_for(key);
         let mut state = shard.write();
         if !state.map.contains_key(&key) && state.map.len() >= self.per_shard_capacity {
-            if let Some(&victim) = state.map.keys().next() {
-                state.map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+            self.evictions.fetch_add(state.map.len() as u64, Ordering::Relaxed);
+            state.map.clear();
         }
-        state.map.insert(key, stored);
+        state.map.insert(key, stored.clone());
         state.last = Some((key, stored));
     }
 
@@ -289,11 +298,11 @@ mod tests {
     use super::*;
     use adsala_gemm::Precision;
 
-    fn decision(threads: u32) -> PlanDecision {
-        PlanDecision {
-            plan: adsala_gemm::plan::ExecutionPlan::with_threads(threads),
-            predicted_runtime_s: 1e-3,
-            memoised: false,
+    fn decision(threads: u32) -> Decision {
+        let plan = adsala_gemm::plan::ExecutionPlan::with_threads(threads);
+        Decision {
+            best: PlanDecision { plan, predicted_runtime_s: 1e-3, memoised: false },
+            curve: [(plan, 1e-3)].into(),
         }
     }
 
@@ -307,8 +316,8 @@ mod tests {
         assert!(cache.get(key(1, 2, 3)).is_none());
         cache.insert(key(1, 2, 3), decision(8));
         let hit = cache.get(key(1, 2, 3)).expect("resident");
-        assert_eq!(hit.threads(), 8);
-        assert!(hit.memoised, "cache replay must be flagged memoised");
+        assert_eq!(hit.best.threads(), 8);
+        assert!(hit.best.memoised, "cache replay must be flagged memoised");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(stats.lookups(), 2);
@@ -323,9 +332,9 @@ mod tests {
         // SYRK(8,8) maps to the same feature point as GEMM(8,8,8) but is a
         // distinct cache entry.
         cache.insert(OpShape::syrk(Precision::F32, 8, 8), decision(6));
-        assert_eq!(cache.get(OpShape::gemm(Precision::F32, 8, 8, 8)).unwrap().threads(), 2);
-        assert_eq!(cache.get(OpShape::gemm(Precision::F64, 8, 8, 8)).unwrap().threads(), 4);
-        assert_eq!(cache.get(OpShape::syrk(Precision::F32, 8, 8)).unwrap().threads(), 6);
+        assert_eq!(cache.get(OpShape::gemm(Precision::F32, 8, 8, 8)).unwrap().best.threads(), 2);
+        assert_eq!(cache.get(OpShape::gemm(Precision::F64, 8, 8, 8)).unwrap().best.threads(), 4);
+        assert_eq!(cache.get(OpShape::syrk(Precision::F32, 8, 8)).unwrap().best.threads(), 6);
         assert!(cache.get(OpShape::gemv(Precision::F32, 8, 8)).is_none());
     }
 
@@ -343,13 +352,42 @@ mod tests {
     }
 
     #[test]
+    fn recurring_stream_keeps_its_hit_rate_past_capacity() {
+        // Blocks of 48 fresh shapes, each sent 4-5 times in shuffled
+        // order, through the service's default-sized memo until far more
+        // distinct shapes have passed than it holds. Every shape repeats
+        // within its block only, so the ideal hit rate is ~0.78; it must
+        // not collapse once the memo is full.
+        let cache = DecisionCache::default();
+        let blocks = 3 * cache.capacity() as u64 / 48;
+        let mut steady = (0u64, 0u64);
+        for block in 0..blocks {
+            let sends: Vec<u64> = (0..48).flat_map(|i| vec![i; 4 + i as usize % 2]).collect();
+            // A fixed shuffle: 7919 is prime, so this permutes the 216 sends.
+            for j in 0..sends.len() {
+                let k = key(64 + block, 64 + sends[j * 7919 % sends.len()], 32);
+                let hit = cache.get(k).is_some();
+                if !hit {
+                    cache.insert(k, decision(2));
+                }
+                if block >= blocks / 2 {
+                    steady = (steady.0 + hit as u64, steady.1 + 1);
+                }
+            }
+        }
+        assert!(cache.stats().evictions > 0, "the stream must overflow the memo");
+        let rate = steady.0 as f64 / steady.1 as f64;
+        assert!(rate >= 0.7, "steady-state hit rate {rate:.3} collapsed past capacity");
+    }
+
+    #[test]
     fn last_shape_fast_path_survives_eviction_of_others() {
         let cache = DecisionCache::new(1, 1);
         cache.insert(key(1, 1, 1), decision(2));
         cache.insert(key(2, 2, 2), decision(4));
         // (1,1,1) was evicted by the 1-entry bound; (2,2,2) is `last`.
         assert!(cache.get(key(1, 1, 1)).is_none());
-        assert_eq!(cache.get(key(2, 2, 2)).unwrap().threads(), 4);
+        assert_eq!(cache.get(key(2, 2, 2)).unwrap().best.threads(), 4);
     }
 
     #[test]
@@ -377,7 +415,7 @@ mod tests {
         assert!(cache.is_empty());
         // Fresh inserts under the new generation are served normally.
         cache.insert(key(1, 2, 3), decision(4));
-        assert_eq!(cache.get(key(1, 2, 3)).unwrap().threads(), 4);
+        assert_eq!(cache.get(key(1, 2, 3)).unwrap().best.threads(), 4);
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub mod speedup;
 pub mod train;
 
 pub use artifact::{Artifact, ModelTable};
-pub use bundle::{ArtifactBundle, PlanDecision};
+pub use bundle::{ArtifactBundle, Decision, PlanDecision};
 pub use cache::{CacheStats, DecisionCache};
 pub use features::{
     build_features, build_features_for_op, build_plan_features, build_plan_features_for_op,
@@ -86,11 +86,7 @@ pub use preprocess::{
 };
 pub use runtime::AdsalaGemm;
 pub use scheduler::{ScheduledRun, SchedulerConfig, SchedulerStats, ServiceScheduler};
-pub use select::{
-    estimate_speedups, predict_curve_for_op, predict_plan_for_op, predict_plan_for_op_capped,
-    predict_point_for_op, predict_point_for_op_capped, predict_threads_for_op,
-    predict_threads_with_runtime, SpeedupEstimate,
-};
+pub use select::{estimate_speedups, sweep, SpeedupEstimate, Sweep};
 pub use service::{AdsalaService, AlgorithmMix, RunOptions, ServiceConfig, ServiceStats};
 pub use speedup::SpeedupStats;
 pub use train::{train_all_families, ModelReport, TrainedCandidate};
@@ -122,7 +118,7 @@ pub use adsala_gemm::dispatch::{
 /// ```
 pub mod prelude {
     pub use crate::artifact::{Artifact, ModelTable};
-    pub use crate::bundle::{ArtifactBundle, PlanDecision};
+    pub use crate::bundle::{ArtifactBundle, Decision, PlanDecision};
     pub use crate::cache::CacheStats;
     pub use crate::install::{InstallConfig, Installation};
     pub use crate::online::{

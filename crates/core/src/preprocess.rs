@@ -50,22 +50,10 @@ impl PreprocessConfig {
         self.transform_raw(crate::features::build_features_for_op(shape, threads))
     }
 
-    /// Model-ready feature row for one plan-grid point of a `(m, k, n)`
-    /// GEMM input. Only valid against a config fitted on plan-feature
-    /// rows (a grid-trained artefact); `feature_rev` is the owning grid's
+    /// Model-ready feature row for one plan-grid point of any routine's
+    /// shape. Only valid against a config fitted on plan-feature rows (a
+    /// grid-trained artefact); `feature_rev` is the owning grid's
     /// plan-feature layout revision.
-    pub fn features_for_plan(
-        &self,
-        m: u64,
-        k: u64,
-        n: u64,
-        point: &PlanPoint,
-        feature_rev: u32,
-    ) -> Vec<f64> {
-        self.transform_raw(build_plan_features(m, k, n, point, feature_rev))
-    }
-
-    /// The any-routine analogue of [`PreprocessConfig::features_for_plan`].
     pub fn features_for_op_plan(
         &self,
         shape: &adsala_gemm::OpShape,
@@ -234,6 +222,10 @@ mod tests {
     use crate::gather::GatherConfig;
     use adsala_machine::{MachineModel, SimTimer};
 
+    fn gemm(m: u64, k: u64, n: u64) -> adsala_gemm::OpShape {
+        adsala_gemm::OpShape::gemm(adsala_gemm::Precision::F32, m, k, n)
+    }
+
     fn fitted() -> FittedPreprocess {
         let timer = SimTimer::new(MachineModel::gadi());
         let config = GatherConfig { n_shapes: 60, reps: 2, ..GatherConfig::quick() };
@@ -322,7 +314,8 @@ mod tests {
             packing: PackingStrategy::Independent,
             algorithm: Algorithm::Blocked,
         };
-        let row = f.config.features_for_plan(500, 300, 400, &point, data.grid.feature_rev);
+        let row =
+            f.config.features_for_op_plan(&gemm(500, 300, 400), &point, data.grid.feature_rev);
         assert_eq!(row.len(), f.config.pruner.kept.len());
         assert!(row.iter().all(|v| v.is_finite()));
     }
@@ -348,7 +341,8 @@ mod tests {
             .points()
             .find(|p| matches!(p.algorithm, adsala_gemm::plan::Algorithm::Strassen { .. }))
             .expect("widened grid has Strassen candidates");
-        let row = f.config.features_for_plan(2048, 2048, 2048, &point, data.grid.feature_rev);
+        let row =
+            f.config.features_for_op_plan(&gemm(2048, 2048, 2048), &point, data.grid.feature_rev);
         assert_eq!(row.len(), f.config.pruner.kept.len());
         assert!(row.iter().all(|v| v.is_finite()));
     }

@@ -7,9 +7,11 @@
 //!
 //! * [`crate::bundle::ArtifactBundle`] performs the model sweeps
 //!   (per-routine models with GEMM fallback),
-//! * this facade keeps the single-client memo (last shape + optional
-//!   full cache), keyed by the full `(routine, precision, dims)`
-//!   [`OpShape`] so SYRK/GEMV/f64 traffic memoises too,
+//! * this facade keeps a single-client [`DecisionCache`]: capacity 1 by
+//!   default (the paper's last-shape memo), the service's default
+//!   capacity under [`AdsalaGemm::with_full_cache`], keyed by the full
+//!   `(routine, precision, dims)` [`OpShape`] and thread cap so
+//!   SYRK/GEMV/f64 traffic memoises too,
 //! * execution goes through a lazily created persistent
 //!   [`adsala_gemm::ThreadPool`], the same pooled dispatch the concurrent
 //!   [`crate::service::AdsalaService`] uses — not spawn-per-call.
@@ -23,9 +25,9 @@ use adsala_gemm::dispatch::{GemmArgs, OpRequest, OpShape, OpStats, Precision};
 use adsala_gemm::{Element, ThreadPool};
 use adsala_ml::AnyModel;
 use serde::{Deserialize, Error, Serialize, Value};
-use std::collections::HashMap;
 
 use crate::bundle::ArtifactBundle;
+use crate::cache::DecisionCache;
 use crate::preprocess::PreprocessConfig;
 use crate::service::{AdsalaService, RunOptions, ServiceConfig};
 use crate::AdsalaError;
@@ -36,13 +38,10 @@ pub use crate::bundle::PlanDecision;
 #[derive(Debug)]
 pub struct AdsalaGemm {
     bundle: ArtifactBundle,
-    /// Keep every shape's decision, not just the last one.
-    pub full_cache: bool,
     /// Memo keys carry the normalised thread cap alongside the shape: a
     /// capped sweep is a different optimisation problem, so a capped
     /// decision must never replay for an uncapped call (or vice versa).
-    last: Option<((OpShape, u32), PlanDecision)>,
-    cache: HashMap<(OpShape, u32), PlanDecision>,
+    cache: DecisionCache<(OpShape, u32)>,
     /// Model sweeps performed (diagnostics; memo hits don't count).
     pub evaluations: u64,
     /// Created on the first executing call, then reused — the facade
@@ -58,19 +57,13 @@ impl AdsalaGemm {
 
     /// Wrap an artefact bundle in the single-threaded facade.
     pub fn from_bundle(bundle: ArtifactBundle) -> Self {
-        Self {
-            bundle,
-            full_cache: false,
-            last: None,
-            cache: HashMap::new(),
-            evaluations: 0,
-            pool: None,
-        }
+        Self { bundle, cache: DecisionCache::new(1, 1), evaluations: 0, pool: None }
     }
 
-    /// Enable the all-shapes decision cache.
+    /// Keep every shape's decision, not just the last one: the memo
+    /// takes the service's default capacity.
     pub fn with_full_cache(mut self) -> Self {
-        self.full_cache = true;
+        self.cache = DecisionCache::default();
         self
     }
 
@@ -120,26 +113,14 @@ impl AdsalaGemm {
     /// above the grid's largest candidate share the uncapped memo entry.
     pub fn select_for_capped(&mut self, shape: OpShape, cap: u32) -> PlanDecision {
         let cap = cap.clamp(1, self.bundle.max_candidate_threads());
-        let key = (shape, cap);
-        if let Some((last_key, decision)) = self.last {
-            if last_key == key {
-                return PlanDecision { memoised: true, ..decision };
-            }
+        if let Some(hit) = self.cache.get((shape, cap)) {
+            return hit.best;
         }
-        if self.full_cache {
-            if let Some(&decision) = self.cache.get(&key) {
-                let hit = PlanDecision { memoised: true, ..decision };
-                self.last = Some((key, decision));
-                return hit;
-            }
-        }
-        let decision = self.bundle.decide_op_capped(shape, cap);
+        let decision = self.bundle.decide(shape, cap);
         self.evaluations += 1;
-        self.last = Some((key, decision));
-        if self.full_cache {
-            self.cache.insert(key, decision);
-        }
-        decision
+        let best = decision.best;
+        self.cache.insert((shape, cap), decision);
+        best
     }
 
     /// The f32-GEMM special case of [`AdsalaGemm::select_for`].
@@ -149,7 +130,6 @@ impl AdsalaGemm {
 
     /// Forget all memoised decisions (e.g. after a machine change).
     pub fn clear_memo(&mut self) {
-        self.last = None;
         self.cache.clear();
     }
 
@@ -181,7 +161,7 @@ impl AdsalaGemm {
         let cap = opts.thread_cap().clamp(1, self.bundle.max_candidate_threads());
         let decision = if opts.bypass_cache {
             self.evaluations += 1;
-            self.bundle.decide_op_capped(shape, cap)
+            self.bundle.decide(shape, cap).best
         } else {
             self.select_for_capped(shape, cap)
         };
@@ -228,7 +208,7 @@ impl Serialize for AdsalaGemm {
     fn to_value(&self) -> Value {
         Value::Map(vec![
             ("bundle".into(), self.bundle.to_value()),
-            ("full_cache".into(), self.full_cache.to_value()),
+            ("full_cache".into(), (self.cache.capacity() > 1).to_value()),
             ("evaluations".into(), self.evaluations.to_value()),
         ])
     }
@@ -240,7 +220,9 @@ impl Deserialize for AdsalaGemm {
         let full_cache: bool = serde::__get_field(v, "full_cache")?;
         let evaluations: u64 = serde::__get_field(v, "evaluations")?;
         let mut handle = Self::from_bundle(bundle);
-        handle.full_cache = full_cache;
+        if full_cache {
+            handle = handle.with_full_cache();
+        }
         handle.evaluations = evaluations;
         Ok(handle)
     }
@@ -283,10 +265,16 @@ mod tests {
         let other = g.select_threads(64, 64, 64);
         assert!(!other.memoised);
         assert_eq!(g.evaluations, 2);
-        // Returning to the first shape without full cache re-evaluates.
-        let back = g.select_threads(128, 512, 128);
-        assert!(!back.memoised);
-        assert_eq!(g.evaluations, 3);
+        // Returning to the first shape without full cache re-evaluates:
+        // the capacity-1 memo re-sweeps on every shape change and
+        // replays only an immediate repeat.
+        for (i, shape) in
+            [(128, 512, 128), (64, 64, 64), (64, 64, 64), (128, 512, 128)].into_iter().enumerate()
+        {
+            let d = g.select_threads(shape.0, shape.1, shape.2);
+            assert_eq!(d.memoised, i == 2, "call {i}");
+        }
+        assert_eq!(g.evaluations, 5);
     }
 
     #[test]

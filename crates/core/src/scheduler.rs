@@ -11,7 +11,8 @@
 //!    bounded queue (back-pressure instead of unbounded pile-up).
 //! 2. **Co-planning**: queued ops are admitted in FIFO *waves*. For each
 //!    op the scheduler holds the model's full predicted-runtime curve
-//!    ([`crate::bundle::ArtifactBundle::decide_op_curve`]): what running
+//!    ([`crate::bundle::Decision::curve`], read through the service's
+//!    memo by [`AdsalaService::decide`]): what running
 //!    at 1, 2, … threads is predicted to cost. A wave starts every op at
 //!    its narrowest plan, then greedily widens whichever op is the
 //!    predicted makespan bottleneck (LPT-style) while the pool's thread
@@ -66,7 +67,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use adsala_gemm::dispatch::{FuseKey, OpRequest, OpShape, OpStats, Routine};
+use adsala_gemm::dispatch::{FuseKey, OpRequest, OpStats, Routine};
 use adsala_gemm::plan::ExecutionPlan;
 use adsala_gemm::Element;
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -219,22 +220,14 @@ enum Phase {
     },
 }
 
-/// A predicted-runtime curve: `(plan, seconds)` rows ascending by
-/// threads, shared between the memo and the tickets holding it.
-type PlanCurve = Arc<Vec<(ExecutionPlan, f64)>>;
-
-/// The scheduler's curve memo: predicted-runtime curves per
-/// `(shape, cap)`, tagged with the service generation they were
-/// computed under.
-type TaggedCurves = (u64, HashMap<(OpShape, u32), PlanCurve>);
-
 #[derive(Debug)]
 struct Ticket {
     /// Fusability class (`None` never fuses) plus the cap its curve was
     /// computed under — only identically-capped requests share a unit.
     fuse: Option<(FuseKey, u32)>,
-    /// Predicted-runtime rows `(plan, seconds)` ascending by threads.
-    curve: PlanCurve,
+    /// Predicted-runtime rows `(plan, seconds)` ascending by threads,
+    /// shared with the service's memo.
+    curve: Arc<[(ExecutionPlan, f64)]>,
     slot: ErasedReq,
     phase: Phase,
     /// The owner's deadline; the wave planner sheds the ticket if this
@@ -297,10 +290,6 @@ pub struct ServiceScheduler {
     work: Condvar,
     /// Signalled when the admission queue gains room.
     space: Condvar,
-    /// Memo of predicted-runtime curves per `(shape, cap)`, tagged with
-    /// the service generation it was computed under: a bundle hot-swap
-    /// invalidates every curve, exactly like the service's decision memo.
-    curves: Mutex<TaggedCurves>,
     submitted: AtomicU64,
     completed: AtomicU64,
     waves: AtomicU64,
@@ -310,10 +299,6 @@ pub struct ServiceScheduler {
     shed_expired: AtomicU64,
     plan_downgrades: AtomicU64,
 }
-
-/// Bound on the scheduler-local curve memo (entries, then wholesale
-/// clear — curves are cheap to recompute and shape churn is rare).
-const CURVE_CACHE_CAP: usize = 512;
 
 impl ServiceScheduler {
     /// Wrap `service` with default tunables (budget = pool workers).
@@ -337,7 +322,6 @@ impl ServiceScheduler {
             state: Mutex::new(SchedState::default()),
             work: Condvar::new(),
             space: Condvar::new(),
-            curves: Mutex::new((0, HashMap::new())),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             waves: AtomicU64::new(0),
@@ -395,7 +379,9 @@ impl ServiceScheduler {
         req.validate()?;
         let shape = req.shape();
         let cap = self.normalised_cap(opts.thread_cap());
-        let curve = self.curve_for(shape, cap);
+        // The service memoises the whole decision, curve included, and
+        // retires it on a bundle hot-swap.
+        let curve = self.service.decide(shape, cap).curve;
         let fuse = if self.fuse { req.fuse_key().map(|k| (k, cap)) } else { None };
         // Erase the request so the planner and a fusion leader can reach
         // it; we park below until `Done`, upholding ErasedReq's contract.
@@ -688,34 +674,6 @@ impl ServiceScheduler {
         cap.min(budget).clamp(1, self.service.bundle().max_candidate_threads())
     }
 
-    fn curve_for(&self, shape: OpShape, cap: u32) -> Arc<Vec<(ExecutionPlan, f64)>> {
-        let key = (shape, cap);
-        // Generation before bundle, mirroring the service's swap
-        // protocol: a curve computed against a retired bundle may be
-        // memoised under its own (old) tag but can never pollute the
-        // post-swap memo.
-        let generation = self.service.generation();
-        {
-            let mut memo = self.curves.lock();
-            if memo.0 != generation {
-                memo.0 = generation;
-                memo.1.clear();
-            } else if let Some(curve) = memo.1.get(&key) {
-                return Arc::clone(curve);
-            }
-        }
-        let curve = Arc::new(self.service.bundle().decide_op_curve(shape, cap));
-        assert!(!curve.is_empty(), "plan grids always hold at least one thread count");
-        let mut memo = self.curves.lock();
-        if memo.0 == generation {
-            if memo.1.len() >= CURVE_CACHE_CAP {
-                memo.1.clear();
-            }
-            memo.1.insert(key, Arc::clone(&curve));
-        }
-        curve
-    }
-
     /// Remove a finished ticket and hand its result back (caller holds
     /// the lock via `st`).
     fn take_done(&self, st: &mut SchedState, id: u64) -> ScheduledRun {
@@ -838,51 +796,29 @@ impl ServiceScheduler {
         for &id in &st.queue {
             let ticket = &st.tickets[&id];
             let min_threads = ticket.curve[0].0.threads as usize;
-            if let Some(class) = ticket.fuse {
-                if let Some(&u) = classes.get(&class) {
-                    // Joining an existing unit costs one more member's
-                    // share at every row.
-                    if used + min_threads > avail {
-                        break;
-                    }
-                    used += min_threads;
-                    units[u].ids.push(id);
-                    let n = units[u].ids.len();
-                    for (row, &(plan, pred)) in units[u].rows.iter_mut().zip(ticket.curve.iter()) {
-                        let total = plan.threads as usize * n;
-                        *row = (plan.with_thread_count(total), pred, total);
-                    }
-                    continue;
-                }
-                if used + min_threads > avail {
-                    break;
-                }
-                used += min_threads;
-                classes.insert(class, units.len());
-                units.push(Unit {
-                    ids: vec![id],
-                    rows: ticket
-                        .curve
-                        .iter()
-                        .map(|&(plan, pred)| (plan, pred, plan.threads as usize))
-                        .collect(),
-                    idx: 0,
-                });
-            } else {
-                if used + min_threads > avail {
-                    break;
-                }
-                used += min_threads;
-                units.push(Unit {
-                    ids: vec![id],
-                    rows: ticket
-                        .curve
-                        .iter()
-                        .map(|&(plan, pred)| (plan, pred, plan.threads as usize))
-                        .collect(),
-                    idx: 0,
-                });
+            if used + min_threads > avail {
+                break;
             }
+            used += min_threads;
+            if let Some(&u) = ticket.fuse.and_then(|class| classes.get(&class)) {
+                // Joining an existing unit costs one more member's share
+                // at every row.
+                units[u].ids.push(id);
+                let n = units[u].ids.len();
+                for (row, &(plan, pred)) in units[u].rows.iter_mut().zip(ticket.curve.iter()) {
+                    let total = plan.threads as usize * n;
+                    *row = (plan.with_thread_count(total), pred, total);
+                }
+                continue;
+            }
+            if let Some(class) = ticket.fuse {
+                classes.insert(class, units.len());
+            }
+            units.push(Unit {
+                ids: vec![id],
+                rows: ticket.curve.iter().map(|&(p, pred)| (p, pred, p.threads as usize)).collect(),
+                idx: 0,
+            });
         }
         if units.is_empty() {
             return None;
@@ -926,7 +862,7 @@ mod tests {
     use super::*;
     use crate::bundle::tests::quick_bundle;
     use crate::service::ServiceConfig;
-    use adsala_gemm::dispatch::{GemmArgs, Routine};
+    use adsala_gemm::dispatch::{GemmArgs, OpShape, Precision, Routine};
 
     fn scheduler(workers: usize, cfg: SchedulerConfig) -> ServiceScheduler {
         let service = Arc::new(AdsalaService::with_config(
@@ -1078,6 +1014,39 @@ mod tests {
         let stats = sched.stats();
         assert_eq!(stats.completed, (clients * reps) as u64);
         assert_eq!(stats.gang_fallbacks(), 0, "budgeted waves must never lose a gang: {stats:?}");
+    }
+
+    #[test]
+    fn scheduler_and_service_share_one_memo() {
+        let sched = scheduler(4, SchedulerConfig::default());
+        let svc = sched.service();
+        let cap = sched.normalised_cap(u32::MAX);
+        let (m, n, k) = (64usize, 48usize, 32usize);
+        let (a, b) = (fill(m * k, 5), fill(k * n, 6));
+        let mut c = vec![0.0f32; m * n];
+        let mut submit = |m: usize| {
+            let mut req: OpRequest<'_, f32> =
+                GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
+            sched.submit(&mut req).unwrap();
+        };
+        let shape = |m: u64| OpShape::gemm(Precision::F32, m, k as u64, n as u64);
+
+        // The scheduler's sweep is a service memo hit...
+        submit(m);
+        assert_eq!(svc.evaluations(), 1, "the scheduler's sweep counts");
+        assert!(svc.select_for_capped(shape(m as u64), cap).memoised);
+        // ...and the service's sweep is a scheduler memo hit.
+        assert!(!svc.select_for_capped(shape(32), cap).memoised);
+        submit(32);
+        assert_eq!(svc.evaluations(), 2);
+        assert_eq!(svc.cache_stats().hits, 2);
+
+        // A hot-swap retires both.
+        svc.swap_bundle(svc.bundle());
+        submit(m);
+        assert_eq!(svc.evaluations(), 3, "a swap must retire the scheduler's curves");
+        assert!(!svc.select_for_capped(shape(32), cap).memoised);
+        assert_eq!(svc.evaluations(), 4);
     }
 
     #[test]

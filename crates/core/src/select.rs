@@ -13,7 +13,7 @@
 //! model-chosen count. The candidate with the highest estimated mean
 //! speedup wins.
 
-use adsala_gemm::plan::{ExecutionPlan, PlanGrid, PlanPoint};
+use adsala_gemm::plan::{PlanGrid, PlanPoint};
 use adsala_machine::GemmTimer;
 use adsala_ml::{AnyModel, Regressor};
 use adsala_sampling::GemmShape;
@@ -30,206 +30,94 @@ pub struct SpeedupEstimate {
     pub est_aggregate: f64,
 }
 
-/// Predict the runtime-minimising thread count for any routine's shape,
-/// returning both the argmin and its predicted runtime in seconds.
-///
-/// The ladder sweep already evaluates the model at every candidate, so the
-/// winner's prediction comes for free — callers must not re-evaluate the
-/// model for the chosen row (that would double the per-call cost the
-/// paper's `t_eval` budget accounts for).
-pub fn predict_threads_for_op(
-    model: &AnyModel,
-    config: &PreprocessConfig,
-    candidates: &[u32],
-    shape: adsala_gemm::OpShape,
-) -> (u32, f64) {
-    debug_assert!(!candidates.is_empty());
-    let mut best = candidates[0];
-    let mut best_pred = f64::INFINITY;
-    for &p in candidates {
-        let row = config.features_for_op(&shape, p);
-        let pred = model.predict_row(&row);
-        if pred < best_pred {
-            best_pred = pred;
-            best = p;
-        }
-    }
-    (best, config.runtime_from_prediction(best_pred))
+/// One model sweep over a plan grid under a thread cap (§III-C): the
+/// global argmin plus the best point at every distinct thread count.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sweep {
+    /// The runtime-minimising point and its predicted runtime in seconds.
+    pub best: (PlanPoint, f64),
+    /// For each distinct capped thread count, the best point at that
+    /// count (argmin over the other axes) and its predicted runtime in
+    /// seconds, ascending by thread count. This is what a co-scheduler
+    /// trades one op's threads for another's with.
+    pub curve: Vec<(PlanPoint, f64)>,
 }
 
-/// Predict the runtime-minimising plan-grid point for any routine's
-/// shape, returning the argmin point and its predicted runtime in
-/// seconds.
+/// Sweep `grid` for `shape` with every candidate's thread count clamped
+/// to `cap` *before* the model prices it, so the argmin and its
+/// prediction describe a configuration that respects the cap. Pass
+/// `u32::MAX` for no cap.
 ///
-/// For a threads-only grid this sweep visits exactly the legacy thread
-/// ladder with the legacy 17-feature rows, in the legacy order — so a
-/// migrated (pre-grid) artefact decides bit-identically to
-/// [`predict_threads_for_op`]. Grid-trained artefacts
-/// ([`PlanGrid::plan_features`]) get the plan axes appended to every row.
-pub fn predict_point_for_op(
+/// Clamping can alias grid points (ladder `[1, 2, 4, 8]` under cap 3
+/// yields `1, 2, 3, 3`); each distinct capped point is evaluated once, in
+/// grid order, and the argmin is taken over the raw predictions with a
+/// strict `<`, so the first minimum in grid order wins. A threads-only
+/// grid visits exactly the legacy ladder with the legacy 17-feature rows
+/// (migrated pre-grid artefacts decide bit-identically); grid-trained
+/// artefacts ([`PlanGrid::plan_features`]) get the plan axes appended to
+/// every row. The winner's prediction comes from the sweep itself:
+/// callers must not re-evaluate it, which would double the per-call
+/// `t_eval` the paper's speedup score charges.
+pub fn sweep(
     model: &AnyModel,
     config: &PreprocessConfig,
     grid: &PlanGrid,
     shape: adsala_gemm::OpShape,
-) -> (PlanPoint, f64) {
+    cap: u32,
+) -> Sweep {
     debug_assert!(!grid.is_empty());
-    let mut best = PlanPoint::threads_only(grid.threads.first().copied().unwrap_or(1));
+    let cap = cap.max(1);
+    // Distinct grid points can only collide once clamped onto the cap, so
+    // dedup is needed only when some thread count exceeds it, and only
+    // among the points that end up at the cap.
+    let clamps = grid.threads.iter().any(|&t| t > cap);
+    let mut seen: Vec<PlanPoint> = Vec::new();
+    let mut best = PlanPoint::threads_only(grid.threads.first().copied().unwrap_or(1).min(cap));
     let mut best_pred = f64::INFINITY;
-    for point in grid.points() {
-        let pred = predict_at_point(model, config, grid, &shape, &point);
+    // (best point, best raw prediction) per thread count, first-seen order.
+    let mut per_count: Vec<(PlanPoint, f64)> = Vec::new();
+    for mut point in grid.points() {
+        if clamps && point.threads >= cap {
+            point.threads = cap;
+            if seen.contains(&point) {
+                continue;
+            }
+            seen.push(point);
+        }
+        let pred = model.predict_row(&point_features(config, grid, &shape, &point));
         if pred < best_pred {
             best_pred = pred;
             best = point;
         }
+        match per_count.iter_mut().find(|(p, _)| p.threads == point.threads) {
+            Some(row) if pred < row.1 => *row = (point, pred),
+            Some(_) => {}
+            None => per_count.push((point, pred)),
+        }
     }
-    (best, config.runtime_from_prediction(best_pred))
+    per_count.sort_by_key(|(p, _)| p.threads);
+    let runtime = |pred| config.runtime_from_prediction(pred);
+    Sweep {
+        best: (best, runtime(best_pred)),
+        curve: per_count.into_iter().map(|(p, pred)| (p, runtime(pred))).collect(),
+    }
 }
 
-/// Like [`predict_point_for_op`], but materialises the winning point into
-/// a concrete [`ExecutionPlan`] for the shape's precision on this host.
-pub fn predict_plan_for_op(
-    model: &AnyModel,
-    config: &PreprocessConfig,
-    grid: &PlanGrid,
-    shape: adsala_gemm::OpShape,
-) -> (ExecutionPlan, f64) {
-    let (point, runtime_s) = predict_point_for_op(model, config, grid, shape);
-    (point.materialise(shape.precision), runtime_s)
-}
-
-/// Evaluate the model at one (possibly clamped) candidate point.
-/// `pub(crate)` so the bundle can price a single conservative fallback
-/// plan with the same feature path the sweeps use.
-pub(crate) fn predict_at_point(
-    model: &AnyModel,
+/// The model-ready feature row for one candidate point: the legacy
+/// 17-feature row on a threads-only grid, with the plan axes appended on
+/// a grid-trained one. The conservative fallback and the retrainer build
+/// their rows here too, so no two paths disagree on the feature layout.
+pub(crate) fn point_features(
     config: &PreprocessConfig,
     grid: &PlanGrid,
     shape: &adsala_gemm::OpShape,
     point: &PlanPoint,
-) -> f64 {
-    let row = if grid.plan_features {
+) -> Vec<f64> {
+    if grid.plan_features {
         config.features_for_op_plan(shape, point, grid.feature_rev)
     } else {
         config.features_for_op(shape, point.threads)
-    };
-    model.predict_row(&row)
-}
-
-/// [`predict_point_for_op`] under a per-call thread cap: every candidate
-/// point's thread count is clamped to `cap` *before* the model evaluates
-/// it, so the argmin — and its predicted runtime — describe a
-/// configuration that actually respects the cap. This is the fix for the
-/// clamp-after-decide bug, where a capped call executed `cap` threads but
-/// reported the prediction of the uncapped winner.
-///
-/// Clamping can alias grid points (ladder `[1, 2, 4, 8]` under cap 3
-/// yields `1, 2, 3, 3`); duplicates are swept once, keeping the grid's
-/// candidate order, so a cap at or above the grid maximum decides
-/// bit-identically to the uncapped sweep. The feature chain accepts any
-/// thread count, so off-ladder caps (like 3) are predicted genuinely, not
-/// approximated by a neighbouring ladder rung.
-pub fn predict_point_for_op_capped(
-    model: &AnyModel,
-    config: &PreprocessConfig,
-    grid: &PlanGrid,
-    shape: adsala_gemm::OpShape,
-    cap: u32,
-) -> (PlanPoint, f64) {
-    debug_assert!(!grid.is_empty());
-    let cap = cap.max(1);
-    let mut seen: Vec<PlanPoint> = Vec::new();
-    let mut best = PlanPoint::threads_only(grid.threads.first().copied().unwrap_or(1).min(cap));
-    let mut best_pred = f64::INFINITY;
-    for mut point in grid.points() {
-        point.threads = point.threads.min(cap);
-        if seen.contains(&point) {
-            continue;
-        }
-        seen.push(point);
-        let pred = predict_at_point(model, config, grid, &shape, &point);
-        if pred < best_pred {
-            best_pred = pred;
-            best = point;
-        }
     }
-    (best, config.runtime_from_prediction(best_pred))
-}
-
-/// The [`ExecutionPlan`] form of [`predict_point_for_op_capped`].
-pub fn predict_plan_for_op_capped(
-    model: &AnyModel,
-    config: &PreprocessConfig,
-    grid: &PlanGrid,
-    shape: adsala_gemm::OpShape,
-    cap: u32,
-) -> (ExecutionPlan, f64) {
-    let (point, runtime_s) = predict_point_for_op_capped(model, config, grid, shape, cap);
-    (point.materialise(shape.precision), runtime_s)
-}
-
-/// The full predicted-runtime curve a joint scheduler optimises over: for
-/// each distinct capped thread count in the grid, the best point at that
-/// count (argmin over the non-thread axes) and its predicted runtime in
-/// seconds, sorted by ascending thread count.
-///
-/// The curve's global minimum is exactly the
-/// [`predict_point_for_op_capped`] decision; the other rows price what
-/// running narrower costs, which is what lets a co-scheduler trade one
-/// op's threads for another's.
-pub fn predict_curve_for_op(
-    model: &AnyModel,
-    config: &PreprocessConfig,
-    grid: &PlanGrid,
-    shape: adsala_gemm::OpShape,
-    cap: u32,
-) -> Vec<(PlanPoint, f64)> {
-    let cap = cap.max(1);
-    let mut seen: Vec<PlanPoint> = Vec::new();
-    // (threads, best point, best raw prediction), in first-seen order.
-    let mut per_count: Vec<(u32, PlanPoint, f64)> = Vec::new();
-    for mut point in grid.points() {
-        point.threads = point.threads.min(cap);
-        if seen.contains(&point) {
-            continue;
-        }
-        seen.push(point);
-        let pred = predict_at_point(model, config, grid, &shape, &point);
-        match per_count.iter_mut().find(|(t, _, _)| *t == point.threads) {
-            Some(entry) => {
-                if pred < entry.2 {
-                    entry.1 = point;
-                    entry.2 = pred;
-                }
-            }
-            None => per_count.push((point.threads, point, pred)),
-        }
-    }
-    per_count.sort_by_key(|&(t, _, _)| t);
-    per_count
-        .into_iter()
-        .map(|(_, point, pred)| (point, config.runtime_from_prediction(pred)))
-        .collect()
-}
-
-/// The GEMM special case of [`predict_threads_for_op`].
-pub fn predict_threads_with_runtime(
-    model: &AnyModel,
-    config: &PreprocessConfig,
-    candidates: &[u32],
-    shape: GemmShape,
-) -> (u32, f64) {
-    let op = adsala_gemm::OpShape::gemm(adsala_gemm::Precision::F32, shape.m, shape.k, shape.n);
-    predict_threads_for_op(model, config, candidates, op)
-}
-
-/// Predict the runtime-minimising thread count for one shape.
-pub fn predict_threads(
-    model: &AnyModel,
-    config: &PreprocessConfig,
-    candidates: &[u32],
-    shape: GemmShape,
-) -> u32 {
-    predict_threads_with_runtime(model, config, candidates, shape).0
 }
 
 /// Estimate ideal and evaluation-inclusive speedups of `model` over
@@ -257,7 +145,7 @@ pub fn estimate_speedups<T: GemmTimer + ?Sized>(
     for &shape in shapes {
         let t_orig = timer.time(shape, p_max, reps);
         let op = adsala_gemm::OpShape::gemm(adsala_gemm::Precision::F32, shape.m, shape.k, shape.n);
-        let (chosen, _) = predict_point_for_op(model, config, grid, op);
+        let (chosen, _) = sweep(model, config, grid, op, u32::MAX).best;
         let t_adsala = timer.time_plan(shape, &chosen, reps);
         ideal_ratios.push(t_orig / t_adsala);
         est_ratios.push(t_orig / (t_adsala + t_eval_s));
@@ -279,6 +167,8 @@ mod tests {
     use super::*;
     use crate::gather::{GatherConfig, TrainingData};
     use crate::preprocess::fit_preprocess;
+    use adsala_gemm::plan::ExecutionPlan;
+    use adsala_gemm::{OpShape, Precision};
     use adsala_machine::{MachineModel, SimTimer};
     use adsala_ml::tune::ModelSpec;
 
@@ -294,25 +184,27 @@ mod tests {
         (timer, fitted.config, model, candidates)
     }
 
+    fn gemm(m: u64, k: u64, n: u64) -> OpShape {
+        OpShape::gemm(Precision::F32, m, k, n)
+    }
+
     #[test]
     fn predicted_threads_are_candidates() {
         let (_, config, model, candidates) = setup();
-        for shape in [
-            GemmShape::new(64, 64, 64),
-            GemmShape::new(2000, 2000, 2000),
-            GemmShape::new(64, 4096, 64),
-        ] {
-            let p = predict_threads(&model, &config, &candidates, shape);
-            assert!(candidates.contains(&p));
+        let grid = PlanGrid::threads_only(candidates.clone());
+        for shape in [gemm(64, 64, 64), gemm(2000, 2000, 2000), gemm(64, 4096, 64)] {
+            let (point, _) = sweep(&model, &config, &grid, shape, u32::MAX).best;
+            assert!(candidates.contains(&point.threads));
         }
     }
 
     #[test]
     fn sweep_runtime_matches_argmin_reevaluation() {
         let (_, config, model, candidates) = setup();
-        for shape in [GemmShape::new(128, 512, 128), GemmShape::new(2000, 64, 2000)] {
-            let (p, runtime_s) = predict_threads_with_runtime(&model, &config, &candidates, shape);
-            let row = config.features_for(shape.m, shape.k, shape.n, p);
+        let grid = PlanGrid::threads_only(candidates);
+        for (m, k, n) in [(128, 512, 128), (2000, 64, 2000)] {
+            let (point, runtime_s) = sweep(&model, &config, &grid, gemm(m, k, n), u32::MAX).best;
+            let row = config.features_for(m, k, n, point.threads);
             let expected = config.runtime_from_prediction(model.predict_row(&row));
             assert_eq!(runtime_s, expected, "sweep must reuse the argmin's prediction");
             assert!(runtime_s > 0.0);
@@ -323,19 +215,22 @@ mod tests {
     fn threads_only_grid_sweep_is_bit_identical_to_the_ladder_sweep() {
         let (_, config, model, candidates) = setup();
         let grid = PlanGrid::threads_only(candidates.clone());
-        for shape in [
-            GemmShape::new(64, 64, 64),
-            GemmShape::new(128, 512, 128),
-            GemmShape::new(2000, 64, 2000),
-            GemmShape::new(1, 74_000, 1),
-        ] {
-            let op =
-                adsala_gemm::OpShape::gemm(adsala_gemm::Precision::F32, shape.m, shape.k, shape.n);
-            let (t, rt) = predict_threads_for_op(&model, &config, &candidates, op);
-            let (point, prt) = predict_point_for_op(&model, &config, &grid, op);
+        for shape in
+            [gemm(64, 64, 64), gemm(128, 512, 128), gemm(2000, 64, 2000), gemm(1, 74_000, 1)]
+        {
+            // The pre-grid ladder sweep: legacy 17-feature rows, ladder
+            // order, strict-`<` argmin.
+            let (mut t, mut pred) = (candidates[0], f64::INFINITY);
+            for &p in &candidates {
+                let q = model.predict_row(&config.features_for_op(&shape, p));
+                if q < pred {
+                    (t, pred) = (p, q);
+                }
+            }
+            let (point, rt) = sweep(&model, &config, &grid, shape, u32::MAX).best;
             assert_eq!(point, PlanPoint::threads_only(t));
-            assert_eq!(prt.to_bits(), rt.to_bits(), "sweep must reuse the same prediction");
-            let (plan, _) = predict_plan_for_op(&model, &config, &grid, op);
+            assert_eq!(rt.to_bits(), config.runtime_from_prediction(pred).to_bits());
+            let plan = point.materialise(shape.precision);
             assert_eq!(plan, ExecutionPlan::with_threads(t));
             assert!(plan.is_threads_only());
         }
@@ -346,32 +241,26 @@ mod tests {
         let (_, config, model, candidates) = setup();
         let grid = PlanGrid::threads_only(candidates.clone());
         let max = candidates.iter().copied().max().unwrap();
-        for shape in [
-            GemmShape::new(64, 64, 64),
-            GemmShape::new(128, 512, 128),
-            GemmShape::new(2000, 64, 2000),
-        ] {
-            let op =
-                adsala_gemm::OpShape::gemm(adsala_gemm::Precision::F32, shape.m, shape.k, shape.n);
+        for shape in [gemm(64, 64, 64), gemm(128, 512, 128), gemm(2000, 64, 2000)] {
             // Off-ladder cap: the winner must obey it, and its prediction
             // must be a genuine model evaluation at the clamped count.
-            let (point, rt) = predict_point_for_op_capped(&model, &config, &grid, op, 3);
+            let (point, rt) = sweep(&model, &config, &grid, shape, 3).best;
             assert!(point.threads <= 3, "{point:?}");
-            let re = config
-                .runtime_from_prediction(predict_at_point(&model, &config, &grid, &op, &point));
+            let row = point_features(&config, &grid, &shape, &point);
+            let re = config.runtime_from_prediction(model.predict_row(&row));
             assert_eq!(rt.to_bits(), re.to_bits(), "prediction must match the clamped point");
 
             // Cap at/above the grid max is bit-identical to no cap.
-            let uncapped = predict_point_for_op(&model, &config, &grid, op);
-            for wide in [max, max + 1, u32::MAX] {
-                let capped = predict_point_for_op_capped(&model, &config, &grid, op, wide);
-                assert_eq!(capped.0, uncapped.0);
-                assert_eq!(capped.1.to_bits(), uncapped.1.to_bits());
+            let uncapped = sweep(&model, &config, &grid, shape, u32::MAX);
+            for wide in [max, max + 1] {
+                let capped = sweep(&model, &config, &grid, shape, wide);
+                assert_eq!(capped.best.0, uncapped.best.0);
+                assert_eq!(capped.best.1.to_bits(), uncapped.best.1.to_bits());
+                assert_eq!(capped.curve, uncapped.curve);
             }
 
             // Cap 1 forces the serial plan.
-            let (serial, _) = predict_point_for_op_capped(&model, &config, &grid, op, 1);
-            assert_eq!(serial.threads, 1);
+            assert_eq!(sweep(&model, &config, &grid, shape, 1).best.0.threads, 1);
         }
     }
 
@@ -379,14 +268,11 @@ mod tests {
     fn curve_minimum_is_the_capped_decision() {
         let (_, config, model, candidates) = setup();
         let grid = PlanGrid::threads_only(candidates.clone());
-        for (shape, cap) in [
-            (GemmShape::new(64, 64, 64), u32::MAX),
-            (GemmShape::new(128, 512, 128), 3),
-            (GemmShape::new(2000, 64, 2000), 8),
-        ] {
-            let op =
-                adsala_gemm::OpShape::gemm(adsala_gemm::Precision::F32, shape.m, shape.k, shape.n);
-            let curve = predict_curve_for_op(&model, &config, &grid, op, cap);
+        for (shape, cap) in
+            [(gemm(64, 64, 64), u32::MAX), (gemm(128, 512, 128), 3), (gemm(2000, 64, 2000), 8)]
+        {
+            let Sweep { best: (best_point, best_rt), curve } =
+                sweep(&model, &config, &grid, shape, cap);
             // One row per distinct clamped thread count, ascending.
             let counts: Vec<u32> = curve.iter().map(|(p, _)| p.threads).collect();
             let mut expected: Vec<u32> = candidates.iter().map(|&t| t.min(cap)).collect::<Vec<_>>();
@@ -396,8 +282,6 @@ mod tests {
             assert!(curve.iter().all(|&(_, rt)| rt > 0.0));
 
             // The curve's argmin row is exactly the capped decision.
-            let (best_point, best_rt) =
-                predict_point_for_op_capped(&model, &config, &grid, op, cap);
             let min = curve
                 .iter()
                 .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
@@ -408,10 +292,25 @@ mod tests {
     }
 
     #[test]
+    fn ties_go_to_the_first_point_in_grid_order() {
+        // A constant model ties every candidate: the argmin is the first
+        // point in grid order, not the first row of the sorted curve.
+        let (_, config, _, _) = setup();
+        let mut model = ModelSpec::DecisionTree { max_depth: 2, min_samples_leaf: 1 }.build(0);
+        let x = adsala_ml::data::Matrix::from_rows(&vec![vec![0.0; config.pruner.kept.len()]; 2]);
+        model.fit(&x, &[0.5, 0.5]).unwrap();
+        let grid = PlanGrid::threads_only(vec![4, 1, 2]);
+        let Sweep { best, curve } = sweep(&model, &config, &grid, gemm(64, 64, 64), u32::MAX);
+        assert_eq!(best.0.threads, 4);
+        assert_eq!(curve.iter().map(|(p, _)| p.threads).collect::<Vec<_>>(), vec![1, 2, 4]);
+    }
+
+    #[test]
     fn model_avoids_max_threads_for_tiny_gemm() {
         let (_, config, model, candidates) = setup();
-        let p = predict_threads(&model, &config, &candidates, GemmShape::new(48, 48, 48));
-        assert!(p < 96, "model chose max threads for a tiny GEMM");
+        let grid = PlanGrid::threads_only(candidates);
+        let (point, _) = sweep(&model, &config, &grid, gemm(48, 48, 48), u32::MAX).best;
+        assert!(point.threads < 96, "model chose max threads for a tiny GEMM");
     }
 
     #[test]

@@ -29,7 +29,9 @@
 //!
 //! Diagnostics are atomics: `evaluations` counts actual model sweeps
 //! (concurrent racing misses may sweep the same shape twice — both count),
-//! and [`AdsalaService::cache_stats`] snapshots the memo counters.
+//! and [`AdsalaService::cache_stats`] snapshots the memo counters. Both
+//! include the sweeps a [`crate::scheduler::ServiceScheduler`] makes, since
+//! it reads its curves through [`AdsalaService::decide`].
 //!
 //! **Online adaptation.** The bundle slot is hot-swappable: every call
 //! feeds the [`crate::online`] feedback loop (prediction-error meter,
@@ -82,7 +84,7 @@ use adsala_gemm::{
 };
 use parking_lot::RwLock;
 
-use crate::bundle::{ArtifactBundle, PlanDecision};
+use crate::bundle::{ArtifactBundle, Decision, PlanDecision};
 use crate::cache::{CacheStats, DecisionCache, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS};
 use crate::online::{
     DriftDetector, DriftSnapshot, Observation, ObservationReservoir, OnlineConfig, ReservoirStats,
@@ -372,6 +374,17 @@ impl AdsalaService {
     /// decision's predicted runtime therefore describes the plan that
     /// will actually execute. Memoised per `(shape, normalised cap)`.
     pub fn select_for_capped(&self, shape: OpShape, cap: u32) -> PlanDecision {
+        self.decide(shape, cap).best
+    }
+
+    /// The memoised [`ArtifactBundle::decide`]: the whole sweep outcome
+    /// (argmin and predicted-runtime curve) for `shape` under `cap`,
+    /// memoised per `(shape, normalised cap)`. The co-scheduler reads its
+    /// curves here, so its sweeps count in [`AdsalaService::evaluations`]
+    /// and [`CacheStats`] like any other, and a curve it computed is a
+    /// memo hit for a later [`AdsalaService::select_for_capped`] (and
+    /// vice versa). A hit clones an `Arc`, never the curve's rows.
+    pub fn decide(&self, shape: OpShape, cap: u32) -> Decision {
         let cap = self.normalised_cap(cap);
         // Generation before bundle: if a swap lands in between, this
         // decision is refused below and the next caller re-decides under
@@ -381,9 +394,9 @@ impl AdsalaService {
         if let Some(decision) = self.cache.get((shape, cap)) {
             return decision;
         }
-        let decision = self.bundle().decide_op_capped(shape, cap);
+        let decision = self.bundle().decide(shape, cap);
         self.evaluations.fetch_add(1, Ordering::Relaxed);
-        self.cache.insert_if_generation((shape, cap), decision, generation);
+        self.cache.insert_if_generation((shape, cap), decision.clone(), generation);
         decision
     }
 
@@ -448,9 +461,8 @@ impl AdsalaService {
             self.drift_fallbacks.fetch_add(1, Ordering::Relaxed);
             self.bundle().conservative_op(shape, cap)
         } else if opts.bypass_cache {
-            let d = self.bundle().decide_op_capped(shape, cap);
             self.evaluations.fetch_add(1, Ordering::Relaxed);
-            d
+            self.bundle().decide(shape, cap).best
         } else {
             self.select_for_capped(shape, cap)
         };
@@ -1049,7 +1061,7 @@ mod tests {
         let shape = OpShape::gemm(Precision::F32, 512, 64, 512);
         let capped = svc.select_for_capped(shape, 3);
         assert!(capped.threads() <= 3, "{capped:?}");
-        let direct = svc.bundle().decide_op_capped(shape, 3);
+        let direct = svc.bundle().decide(shape, 3).best;
         assert_eq!(capped.plan, direct.plan, "service must serve the capped sweep's argmin");
         assert_eq!(
             capped.predicted_runtime_s, direct.predicted_runtime_s,

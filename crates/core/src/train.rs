@@ -4,6 +4,7 @@
 use std::time::Instant;
 
 use adsala_gemm::plan::PlanGrid;
+use adsala_gemm::{OpShape, Precision};
 use adsala_ml::data::Dataset;
 use adsala_ml::metrics::normalised_rmse;
 use adsala_ml::tune::{GridSearch, ModelSpec};
@@ -11,6 +12,7 @@ use adsala_ml::{AnyModel, ModelKind, Regressor};
 use serde::{Deserialize, Serialize};
 
 use crate::preprocess::PreprocessConfig;
+use crate::select::sweep;
 use crate::AdsalaError;
 
 /// One tuned family, its CV score and its fitted model.
@@ -83,10 +85,10 @@ pub fn test_nrmse(model: &AnyModel, test: &Dataset) -> f64 {
     normalised_rmse(&model.predict(&test.x), &test.y)
 }
 
-/// Measure the per-call model-evaluation time: one full plan-selection
-/// sweep (features + prediction for every candidate grid point), averaged
-/// over `probes` distinct inputs and `reps` timed repetitions. Returns
-/// seconds.
+/// Measure the per-call model-evaluation time `t_eval`: one
+/// [`sweep`] — the very function the runtime decides with — averaged over
+/// `probes` distinct f32-GEMM inputs and `reps` timed repetitions.
+/// Returns seconds.
 pub fn measure_eval_time(
     model: &AnyModel,
     config: &PreprocessConfig,
@@ -95,26 +97,20 @@ pub fn measure_eval_time(
     reps: u32,
 ) -> f64 {
     debug_assert!(!grid.is_empty() && !probes.is_empty());
-    let sweep = |sink: &mut f64, m: u64, k: u64, n: u64| {
-        for point in grid.points() {
-            let row = if grid.plan_features {
-                config.features_for_plan(m, k, n, &point, grid.feature_rev)
-            } else {
-                config.features_for(m, k, n, point.threads)
-            };
-            *sink += model.predict_row(&row);
-        }
+    let run = |sink: &mut f64, &(m, k, n): &(u64, u64, u64)| {
+        *sink +=
+            sweep(model, config, grid, OpShape::gemm(Precision::F32, m, k, n), u32::MAX).best.1;
     };
     // Warm-up sweep so lazy CPU state doesn't inflate the first probe.
     let mut sink = 0.0f64;
-    for &(m, k, n) in probes.iter().take(1) {
-        sweep(&mut sink, m, k, n);
+    for probe in probes.iter().take(1) {
+        run(&mut sink, probe);
     }
     let reps = reps.max(1);
     let start = Instant::now();
     for _ in 0..reps {
-        for &(m, k, n) in probes {
-            sweep(&mut sink, m, k, n);
+        for probe in probes {
+            run(&mut sink, probe);
         }
     }
     let elapsed = start.elapsed().as_secs_f64();

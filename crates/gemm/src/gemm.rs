@@ -918,7 +918,7 @@ unsafe fn scale_rows_by_beta<T: Element>(c: *mut T, ldc: usize, ms: usize, ns: u
     for i in 0..ms {
         let row = std::slice::from_raw_parts_mut(c.add(i * ldc), ns);
         for v in row {
-            *v = beta.mul_add_e(*v, T::ZERO);
+            *v = crate::beta_scaled(beta, *v);
         }
     }
 }

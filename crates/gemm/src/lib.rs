@@ -111,6 +111,20 @@ pub trait Element:
     fn kernel(isa: isa::KernelIsa) -> isa::Kernel<Self>;
 }
 
+/// `β·old` with the BLAS convention that β = 0 never reads the output:
+/// it yields zero even when `old` is NaN or infinite. Every site that
+/// scales an existing output by β goes through here, except the
+/// register-tile merges, which have their own β = 0 store path; so the
+/// answer never depends on which plan ran.
+#[inline(always)]
+pub(crate) fn beta_scaled<T: Element>(beta: T, old: T) -> T {
+    if beta == T::ZERO {
+        T::ZERO
+    } else {
+        beta.mul_add_e(old, T::ZERO)
+    }
+}
+
 impl Element for f32 {
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;

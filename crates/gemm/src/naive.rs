@@ -68,7 +68,7 @@ pub fn naive_gemm<T: Element>(
                 acc = at(i, l).mul_add_e(bt(l, j), acc);
             }
             let out = &mut c[i * ldc + j];
-            *out = alpha.mul_add_e(acc, beta.mul_add_e(*out, T::ZERO));
+            *out = alpha.mul_add_e(acc, crate::beta_scaled(beta, *out));
         }
     }
 }

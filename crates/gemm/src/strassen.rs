@@ -350,7 +350,7 @@ pub(crate) fn strassen_with_stats<T: Element>(
     if beta != T::ONE {
         for i in 0..m {
             for v in &mut c[i * ldc..][..n] {
-                *v = beta.mul_add_e(*v, T::ZERO);
+                *v = crate::beta_scaled(beta, *v);
             }
         }
     }

@@ -220,7 +220,7 @@ unsafe fn band_subproblem<T: Element>(
         for i in r0..r1 {
             let row = std::slice::from_raw_parts_mut(c.add(i * ldc), i + 1);
             for v in row {
-                *v = beta.mul_add_e(*v, T::ZERO);
+                *v = crate::beta_scaled(beta, *v);
             }
         }
         return;
@@ -286,8 +286,8 @@ unsafe fn band_subproblem<T: Element>(
                             let acc_row = &tile[di * nr..di * nr + max_col];
                             let row = std::slice::from_raw_parts_mut(c.add(gi * ldc + j0), max_col);
                             for (dj, out) in row.iter_mut().enumerate() {
-                                *out =
-                                    alpha.mul_add_e(acc_row[dj], beta_eff.mul_add_e(*out, T::ZERO));
+                                *out = alpha
+                                    .mul_add_e(acc_row[dj], crate::beta_scaled(beta_eff, *out));
                             }
                         }
                         stats.kernel_calls += 1;
@@ -321,7 +321,7 @@ pub fn naive_syrk<T: Element>(
                 acc = a[i * lda + l].mul_add_e(a[j * lda + l], acc);
             }
             let out = &mut c[i * ldc + j];
-            *out = alpha.mul_add_e(acc, beta.mul_add_e(*out, T::ZERO));
+            *out = alpha.mul_add_e(acc, crate::beta_scaled(beta, *out));
         }
     }
 }

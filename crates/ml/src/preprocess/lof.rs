@@ -44,22 +44,7 @@ impl LocalOutlierFactor {
             return Err(MlError::BadShape(format!("need more than k={} samples, got {n}", self.k)));
         }
 
-        // Pairwise distances; only k smallest per row are kept.
-        let mut neighbours: Vec<Vec<(f64, usize)>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let ri = x.row(i);
-            let mut dists: Vec<(f64, usize)> = (0..n)
-                .filter(|&j| j != i)
-                .map(|j| {
-                    let rj = x.row(j);
-                    let d2: f64 = ri.iter().zip(rj).map(|(&a, &b)| (a - b) * (a - b)).sum();
-                    (d2.sqrt(), j)
-                })
-                .collect();
-            dists.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite distances"));
-            dists.truncate(self.k);
-            neighbours.push(dists);
-        }
+        let neighbours = self.neighbours(x);
 
         // k-distance of each point = distance to its k-th neighbour.
         let k_dist: Vec<f64> = neighbours.iter().map(|nb| nb[nb.len() - 1].0).collect();
@@ -88,6 +73,31 @@ impl LocalOutlierFactor {
                 mean_nb / lrd[i]
             })
             .collect())
+    }
+
+    /// The k nearest neighbours of each row as `(distance, index)`,
+    /// ordered by distance with ties to the lower index. Only k entries
+    /// per row are kept, so memory is O(n·k); one scratch row is reused.
+    fn neighbours(&self, x: &Matrix) -> Vec<Vec<(f64, usize)>> {
+        let n = x.rows();
+        let by_dist_then_index = |a: &(f64, usize), b: &(f64, usize)| {
+            a.0.partial_cmp(&b.0).expect("finite distances").then(a.1.cmp(&b.1))
+        };
+        let mut dists: Vec<(f64, usize)> = Vec::with_capacity(n);
+        (0..n)
+            .map(|i| {
+                let ri = x.row(i);
+                dists.clear();
+                dists.extend((0..n).filter(|&j| j != i).map(|j| {
+                    let d2: f64 = ri.iter().zip(x.row(j)).map(|(&a, &b)| (a - b) * (a - b)).sum();
+                    (d2.sqrt(), j)
+                }));
+                dists.select_nth_unstable_by(self.k - 1, by_dist_then_index);
+                let mut nearest = dists[..self.k].to_vec();
+                nearest.sort_unstable_by(by_dist_then_index);
+                nearest
+            })
+            .collect()
     }
 
     /// Indices of rows whose LOF score is at or below the threshold
@@ -171,6 +181,37 @@ mod tests {
     fn too_few_samples_rejected() {
         let x = Matrix::zeros(5, 2);
         assert!(LocalOutlierFactor::new(5, 1.5).scores(&x).is_err());
+    }
+
+    #[test]
+    fn neighbours_match_the_full_sort_reference_with_duplicate_rows() {
+        // A lattice with every point doubled plus three copies of an
+        // outlier: many equal distances, so the tie order decides which
+        // neighbours (and hence which scores) come out.
+        let mut rows: Vec<Vec<f64>> =
+            (0..60).map(|i| vec![(i % 5) as f64 * 0.3, (i % 30 / 5) as f64 * 0.7]).collect();
+        rows.extend(vec![vec![9.0, 9.0]; 3]);
+        let x = Matrix::from_rows(&rows);
+        for k in [1, 3, 5, 20] {
+            // The selection-free reference: a stable sort of every
+            // distance per row (ties keep index order), truncated to k.
+            let want: Vec<Vec<(f64, usize)>> = (0..x.rows())
+                .map(|i| {
+                    let mut d: Vec<(f64, usize)> = (0..x.rows())
+                        .filter(|&j| j != i)
+                        .map(|j| {
+                            let d2: f64 =
+                                x.row(i).iter().zip(x.row(j)).map(|(a, b)| (a - b) * (a - b)).sum();
+                            (d2.sqrt(), j)
+                        })
+                        .collect();
+                    d.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+                    d.truncate(k);
+                    d
+                })
+                .collect();
+            assert_eq!(LocalOutlierFactor::new(k, 1.5).neighbours(&x), want, "k={k}");
+        }
     }
 
     #[test]

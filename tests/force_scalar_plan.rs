@@ -6,7 +6,7 @@
 //! override is off. The CI suite runs twice, with and without the
 //! override, so both arms of every conditional below are exercised.
 
-use adsala::{DecisionCache, PlanDecision};
+use adsala::{Decision, DecisionCache, PlanDecision};
 use adsala_repro::adsala_gemm::dispatch::{GemmArgs, OpRequest};
 use adsala_repro::adsala_gemm::isa::{force_scalar_requested, KernelIsa};
 use adsala_repro::adsala_gemm::naive::naive_gemm;
@@ -44,8 +44,9 @@ fn cached_simd_plan_executes_scalar_under_force_scalar() {
             GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
         req.shape()
     };
-    cache.insert(shape, PlanDecision { plan, predicted_runtime_s: 1e-3, memoised: false });
-    let cached = cache.get(shape).expect("decision must be memoised");
+    let best = PlanDecision { plan, predicted_runtime_s: 1e-3, memoised: false };
+    cache.insert(shape, Decision { best, curve: [(plan, 1e-3)].into() });
+    let cached = cache.get(shape).expect("decision must be memoised").best;
     assert!(cached.memoised);
     assert_eq!(cached.plan, plan, "the cache must never rewrite a stored plan");
 

@@ -6,6 +6,7 @@
 use adsala_repro::adsala_gemm::gemm::{gemm_with_stats, gemm_with_stats_pooled, GemmCall};
 use adsala_repro::adsala_gemm::gemv::{gemv_with_stats, naive_gemv};
 use adsala_repro::adsala_gemm::naive::naive_gemm;
+use adsala_repro::adsala_gemm::plan::Algorithm;
 use adsala_repro::adsala_gemm::pool::ThreadPool;
 use adsala_repro::adsala_gemm::syrk::{naive_syrk, syrk_with_stats};
 use adsala_repro::adsala_gemm::Transpose;
@@ -199,5 +200,48 @@ proptest! {
         gemm_with_stats(&call, 1.0, &a, k, &b, n, 0.5, &mut c1, n);
         gemm_with_stats_pooled(&pool, &call, 1.0, &a, k, &b, n, 0.5, &mut c2, n);
         prop_assert_eq!(c1, c2);
+    }
+}
+
+/// β = 0 never reads the output: a NaN-filled C or y must come out equal
+/// to a zeroed one under every algorithm (Strassen on an eligible shape
+/// too) and for k = 0, 1 and > 1, so the answer never depends on the
+/// plan the model picked.
+#[test]
+fn beta_zero_ignores_nan_outputs_on_every_path() {
+    let (m, n, t, nan) = (128usize, 128usize, Transpose::No, f64::NAN);
+    let close = |got: &[f64], want: &[f64], what: String| {
+        for (i, (x, y)) in got.iter().zip(want).enumerate() {
+            assert!((x - y).abs() <= 1e-9 * (1.0 + y.abs()), "{what} [{i}]: {x} vs {y}");
+        }
+    };
+    for k in [0usize, 1, 37, 128] {
+        let (lda, a, b) = (k.max(1), fill((m * k).max(1), 7), fill((k * n).max(1), 8));
+        let mut want = vec![0.0; m * n];
+        naive_gemm(t, t, m, n, k, 1.5, &a, lda, &b, n, 0.0, &mut want, n);
+        for algorithm in [Algorithm::Blocked, Algorithm::Strassen { cutoff: 64 }, Algorithm::ZOrder]
+        {
+            let base = GemmCall::new(m, n, k, 2);
+            let call = base.with_plan(base.plan.with_algorithm(algorithm));
+            let mut c = vec![nan; m * n];
+            let stats = gemm_with_stats(&call, 1.5, &a, lda, &b, n, 0.0, &mut c, n);
+            // 128³ is Strassen-eligible: every plan runs as asked.
+            assert!(k < 128 || stats.algorithm == algorithm, "{algorithm:?} k={k}");
+            close(&c, &want, format!("{algorithm:?} k={k}"));
+        }
+
+        // SYRK writes the lower triangle only: NaN there, zero above.
+        let mut want = vec![0.0; m * m];
+        naive_syrk(m, k, 1.5, &a, lda, 0.0, &mut want, m);
+        let mut c: Vec<f64> = (0..m * m).map(|e| if e % m <= e / m { nan } else { 0.0 }).collect();
+        syrk_with_stats(m, k, 1.5, &a, lda, 0.0, &mut c, m, 2);
+        close(&c, &want, format!("syrk k={k}"));
+
+        let x = fill(lda, 9);
+        let mut want = vec![0.0; m];
+        naive_gemv(m, k, 1.5, &a, lda, &x, 0.0, &mut want);
+        let mut y = vec![nan; m];
+        gemv_with_stats(m, k, 1.5, &a, lda, &x, 0.0, &mut y, 2);
+        close(&y, &want, format!("gemv n={k}"));
     }
 }

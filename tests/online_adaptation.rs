@@ -166,7 +166,7 @@ fn drift_trips_retrain_swaps_and_error_recovers() {
     // "machine" runs each pinned plan in exactly the time the original
     // bundle predicts — until the injected slowdown multiplies it.
     let baseline: HashMap<OpShape, f64> =
-        shapes.iter().map(|&s| (s, bundle.decide_op_capped(s, 1).predicted_runtime_s)).collect();
+        shapes.iter().map(|&s| (s, bundle.decide(s, 1).best.predicted_runtime_s)).collect();
     assert!(baseline.values().all(|&p| p > 0.0));
 
     // Phase 1 — healthy: measured ≈ predicted, detector must stay cold.
